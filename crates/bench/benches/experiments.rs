@@ -1,5 +1,6 @@
 //! The benchmark harness: one Criterion group per experiment of
-//! `EXPERIMENTS.md` (E1–E11 plus the ablations A1–A2).
+//! `EXPERIMENTS.md` (E1–E9, E11–E13 and the ablations A1–A2; E10 is
+//! superseded by the `e14_throughput` binary, which runs the same mix).
 //!
 //! Besides the timing samples collected by Criterion, every experiment prints
 //! the table rows / series described in EXPERIMENTS.md (hop counts,
@@ -19,11 +20,11 @@ use ec_core::spec::{EcChecker, EicChecker, EtobChecker, ProposalRecord};
 use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
 use ec_core::transforms::{EcToEic, EcToEtob};
 use ec_core::types::{AppMessage, DeliveredSequence, EicInput, EicOutput, MsgId};
-use ec_core::workload::{BroadcastWorkload, KvWorkload, ZipfMix};
+use ec_core::workload::BroadcastWorkload;
 use ec_detectors::heartbeat::{HeartbeatConfig, HeartbeatOmega};
 use ec_detectors::omega::{OmegaOracle, PreStabilization};
 use ec_detectors::{check_omega_history, sigma::SigmaOracle, PairFd};
-use ec_replication::{KvStore, Replica, ReplicaCommand, ShardConfig, ShardedKv};
+use ec_replication::{KvStore, Replica, ReplicaCommand};
 use ec_sim::{
     FailurePattern, FdHistory, NetworkModel, OutputHistory, PartitionSpec, ProcessId, ProcessSet,
     RecordingFd, Time, WorldBuilder,
@@ -816,80 +817,6 @@ fn a2_promote_period(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// E10: shard scaling — aggregate throughput vs shard count
-// ---------------------------------------------------------------------------
-
-/// Runs a fixed zipf client mix against an `s`-shard cluster and returns
-/// `(wall_micros, messages_sent, cluster_converged_at)`.
-fn sharded_run(shards: usize, ops: usize) -> (u128, u64, u64) {
-    let workload = KvWorkload::zipf(ZipfMix {
-        keys: 64,
-        ops,
-        skew: 1.0,
-        clients: 3,
-        start: 10,
-        spacing: 1,
-        seed: 17,
-        del_every: 0,
-    });
-    let mut cluster = ShardedKv::new(ShardConfig {
-        shards,
-        replicas_per_shard: 3,
-        etob: EtobConfig::batched(5),
-        ..Default::default()
-    });
-    cluster.submit_workload(&workload);
-    // Time only the serving phase: cluster construction and routing are
-    // per-run setup, not the throughput being measured.
-    let started = std::time::Instant::now();
-    cluster.run_until(workload.last_submission_time() + 500);
-    let wall = started.elapsed().as_micros();
-    let report = cluster.report();
-    assert!(report.all_converged(), "cluster must converge");
-    assert_eq!(report.total_ops_routed(), ops as u64);
-    (
-        wall,
-        report.totals.messages_sent,
-        report.converged_at().map(|t| t.as_u64()).unwrap_or(0),
-    )
-}
-
-fn e10_shard_scaling(c: &mut Criterion) {
-    let ops = 768;
-    println!(
-        "\n[E10] shard scaling: fixed {ops}-op zipf mix, 3 replicas per shard, batch flush = 5"
-    );
-    println!(
-        "{:<8} {:>14} {:>18} {:>16} {:>14}",
-        "shards", "wall [ms]", "throughput [op/s]", "messages", "converged [t]"
-    );
-    for shards in [1usize, 2, 4, 8] {
-        let (wall, messages, converged) = sharded_run(shards, ops);
-        println!(
-            "{:<8} {:>14.2} {:>18.0} {:>16} {:>14}",
-            shards,
-            wall as f64 / 1_000.0,
-            ops as f64 / (wall as f64 / 1_000_000.0),
-            messages,
-            converged
-        );
-    }
-    println!("  (each shard is an independent ETOB group: per-group update/promote payloads");
-    println!("   shrink with ops-per-shard, so aggregate throughput grows with shard count)");
-    let mut group = configure(c).benchmark_group("e10_shard_scaling");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2));
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("zipf_mix", shards), &shards, |b, &s| {
-            b.iter(|| sharded_run(s, ops))
-        });
-    }
-    group.finish();
-}
-
-// ---------------------------------------------------------------------------
 // E11: batching — broadcasts per delivered op vs flush interval
 // ---------------------------------------------------------------------------
 
@@ -1013,7 +940,6 @@ criterion_group!(
     e7_cht_extraction,
     e8_convergence_bound,
     e9_eic,
-    e10_shard_scaling,
     e11_batching,
     e12_delta_wire,
     e13_compaction,

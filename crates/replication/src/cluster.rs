@@ -448,6 +448,15 @@ impl<S: StateMachine + Send + 'static> Cluster<S> {
         self.deployment.metrics()
     }
 
+    /// Every leader estimate the replicas' heartbeat Ω modules have output
+    /// so far, as `(replica, elapsed_ms, leader)` with wall-clock
+    /// milliseconds since deployment: each replica's initial estimate, then
+    /// each change. Real-time engines only; empty on the simulator, whose Ω
+    /// is the scripted oracle of the deployment.
+    pub fn leader_estimates(&self) -> Vec<(ProcessId, u64, ProcessId)> {
+        self.deployment.leader_estimates()
+    }
+
     /// Total digest pulls of the Algorithm 5 layers so far — wire-level
     /// update gaps (lost, reordered or rejoin-missed deltas) that the
     /// delta-sync machinery detected and repaired. Simulator-side eventual

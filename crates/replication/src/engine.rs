@@ -942,6 +942,15 @@ where
         by_engine!(self, w => w.trace().output_history(), t => t.output_history(), d => d.output_history())
     }
 
+    /// The heartbeat Ω leader estimates so far as `(replica, elapsed_ms,
+    /// leader)` (empty on the simulator, whose Ω is an oracle).
+    pub fn leader_estimates(&self) -> Vec<(ProcessId, u64, ProcessId)> {
+        by_engine!(self,
+            _w => Vec::new(),
+            t => t.runtime.leaders_so_far(),
+            d => d.cluster.leaders_so_far())
+    }
+
     /// The processes correct for the whole run: from the failure pattern on
     /// the simulator, everything minus `facade_crashed` on the thread and
     /// net engines.

@@ -12,7 +12,11 @@
 //! The event loop mirrors `ec-runtime`'s process loop step for step — it
 //! drives the same [`ec_sim::Algorithm`] implementations through
 //! [`ec_runtime::run_handler`] with a per-node heartbeat Ω — which is what
-//! makes the engines interchangeable behind the facade.
+//! makes the engines interchangeable behind the facade. Both loops schedule
+//! the heartbeat and replica `on_timer` step with the same
+//! [`ec_runtime::Ticker`]: it fires once its deadline has passed however
+//! busy the inbox is, and the loop blocks on the inbox only until the next
+//! deadline.
 //!
 //! Teardown protocol: the driver sends a `Shutdown` frame on each control
 //! connection; a node drains its queue, flushes its last outputs, echoes
@@ -32,7 +36,7 @@ use std::thread::JoinHandle;
 
 use ec_core::types::{Compactable, EventualTotalOrderBroadcast, Instrumented};
 use ec_detectors::{HeartbeatMsg, HeartbeatOmega};
-use ec_runtime::{run_handler, sleep_ms, RuntimeConfig, Stopwatch};
+use ec_runtime::{run_handler, sleep_ms, RuntimeConfig, Stopwatch, Ticker};
 use ec_sim::{Actions, Algorithm, Metrics, ProcessId};
 
 use crate::net::codec::{decode_body, encode_body, hello_body, Frame, WireCodec, DRIVER, SCRAPER};
@@ -106,6 +110,8 @@ type ControlSlot = Arc<Mutex<ControlOut>>;
 /// State shared between the driver and every node/reader thread.
 struct NetShared {
     outputs: Mutex<Vec<(ProcessId, u64, ReplicaOutput)>>,
+    /// Heartbeat Ω leader estimates as `(replica, elapsed_ms, leader)`.
+    leaders: Mutex<Vec<(ProcessId, u64, ProcessId)>>,
     metrics: Mutex<Metrics>,
     malformed: AtomicU64,
     stopwatch: Stopwatch,
@@ -200,6 +206,7 @@ where
         assert!(n >= 2, "the system model requires at least two processes");
         let shared = Arc::new(NetShared {
             outputs: Mutex::new(Vec::new()),
+            leaders: Mutex::new(Vec::new()),
             metrics: Mutex::new(Metrics::new(n)),
             malformed: AtomicU64::new(0),
             stopwatch: Stopwatch::start(),
@@ -392,6 +399,12 @@ where
     /// A snapshot of every `(replica, elapsed_ms, output)` so far.
     pub(crate) fn outputs_so_far(&self) -> Vec<(ProcessId, u64, ReplicaOutput)> {
         locked(&self.shared.outputs).clone()
+    }
+
+    /// A snapshot of every `(replica, elapsed_ms, leader)` estimate the
+    /// nodes' heartbeat Ω modules have output so far.
+    pub(crate) fn leaders_so_far(&self) -> Vec<(ProcessId, u64, ProcessId)> {
+        locked(&self.shared.leaders).clone()
     }
 
     /// A snapshot of the message counters so far.
@@ -632,13 +645,14 @@ fn drain_control<M: WireCodec>(
     }
 }
 
-/// Sends the heartbeat module's outbound messages over the peer links
-/// (heartbeat traffic is not counted in the application metrics, matching
-/// `ec-runtime`).
+/// Sends the heartbeat module's outbound messages over the peer links and
+/// records its leader outputs (heartbeat traffic is not counted in the
+/// application metrics, matching `ec-runtime`).
 fn send_heartbeats<M: WireCodec>(
     me: ProcessId,
     actions: Actions<HeartbeatOmega>,
     links: &mut [PeerLink],
+    shared: &NetShared,
 ) {
     for (to, msg) in actions.sends {
         let frame: Frame<M> = Frame::Heartbeat { from: me, msg };
@@ -646,6 +660,14 @@ fn send_heartbeats<M: WireCodec>(
         if let Some(link) = links.get_mut(to.index()) {
             let _ = link.send(&body);
         }
+    }
+    if actions.outputs.is_empty() {
+        return;
+    }
+    let elapsed = shared.stopwatch.elapsed_ms();
+    let mut all = locked(&shared.leaders);
+    for leader in actions.outputs {
+        all.push((me, elapsed, leader));
     }
 }
 
@@ -710,32 +732,47 @@ where
     let mut tick: u64 = 0;
 
     let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_start(ctx));
-    send_heartbeats::<B::Msg>(me, hb_actions, &mut links);
+    send_heartbeats::<B::Msg>(me, hb_actions, &mut links, &shared);
     let fd = derive(omega.leader(), n);
     let app_actions = run_handler(&mut replica, me, n, fd, tick, |a, ctx| a.on_start(ctx));
     dispatch_replica(me, app_actions, &mut links, &shared, &control);
 
+    let mut ticker = Ticker::start(config.tick);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return replica;
         }
-        match receiver.recv_timeout(config.tick) {
-            Ok(NetEvent::Crash) => return replica,
-            Ok(NetEvent::Shutdown) => {
+        if ticker.fire() {
+            tick += 1;
+            locked(&shared.metrics).timer_fires += 1;
+            let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
+            send_heartbeats::<B::Msg>(me, hb_actions, &mut links, &shared);
+            let fd = derive(omega.leader(), n);
+            let app_actions = run_handler(&mut replica, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
+            dispatch_replica(me, app_actions, &mut links, &shared, &control);
+        }
+        let event = match receiver.recv_timeout(ticker.wait()) {
+            Ok(event) => event,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => return replica,
+        };
+        match event {
+            NetEvent::Crash => return replica,
+            NetEvent::Shutdown => {
                 push_control(&control, encode_body::<B::Msg>(&Frame::Shutdown));
                 return replica;
             }
-            Ok(NetEvent::Heartbeat { from, msg }) => {
+            NetEvent::Heartbeat { from, msg } => {
                 let actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| {
                     a.on_message(from, msg, ctx)
                 });
-                send_heartbeats::<B::Msg>(me, actions, &mut links);
+                send_heartbeats::<B::Msg>(me, actions, &mut links, &shared);
             }
-            Ok(NetEvent::App {
+            NetEvent::App {
                 from,
                 msg,
                 wire_len,
-            }) => {
+            } => {
                 {
                     let mut metrics = locked(&shared.metrics);
                     metrics.messages_delivered += 1;
@@ -747,7 +784,7 @@ where
                 });
                 dispatch_replica(me, actions, &mut links, &shared, &control);
             }
-            Ok(NetEvent::Stats { mut reply }) => {
+            NetEvent::Stats { mut reply } => {
                 let report = replica
                     .broadcast_layer()
                     .recorder()
@@ -757,7 +794,7 @@ where
                 let body = encode_body::<B::Msg>(&Frame::StatsText(text.into_bytes()));
                 let _ = write_frame(&mut reply, &body);
             }
-            Ok(NetEvent::Input(input)) => {
+            NetEvent::Input(input) => {
                 locked(&shared.metrics).inputs += 1;
                 let fd = derive(omega.leader(), n);
                 let actions = run_handler(&mut replica, me, n, fd, tick, |a, ctx| {
@@ -765,17 +802,6 @@ where
                 });
                 dispatch_replica(me, actions, &mut links, &shared, &control);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                tick += 1;
-                locked(&shared.metrics).timer_fires += 1;
-                let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
-                send_heartbeats::<B::Msg>(me, hb_actions, &mut links);
-                let fd = derive(omega.leader(), n);
-                let app_actions =
-                    run_handler(&mut replica, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
-                dispatch_replica(me, app_actions, &mut links, &shared, &control);
-            }
-            Err(RecvTimeoutError::Disconnected) => return replica,
         }
     }
 }

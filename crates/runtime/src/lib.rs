@@ -19,7 +19,11 @@
 //! * timers: algorithms' `set_timer` requests are not tracked individually;
 //!   every process receives an `on_timer` call once per configured tick,
 //!   which is how the paper's "on local timeout" clauses are meant to be
-//!   driven anyway;
+//!   driven anyway. The tick is a deadline ([`Ticker`]), checked before
+//!   each inbox wait, so it fires on schedule however busy the inbox is.
+//!   A fire re-arms the deadline one tick from *now*: a late fire (a slow
+//!   handler, a descheduled thread) is followed by one full tick, never by
+//!   a burst of catch-up fires;
 //! * failure detection: Ω is implemented by heartbeats and timeouts, so its
 //!   stabilization time depends on real scheduling latencies rather than on a
 //!   scripted oracle. Algorithms whose failure detector is richer than Ω can
@@ -41,5 +45,5 @@
 pub mod clock;
 mod runtime;
 
-pub use clock::{sleep_ms, Stopwatch};
+pub use clock::{sleep_ms, Stopwatch, Ticker};
 pub use runtime::{run_handler, Runtime, RuntimeConfig, RuntimeReport};

@@ -4,13 +4,15 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use ec_detectors::{HeartbeatConfig, HeartbeatMsg, HeartbeatOmega};
 use ec_sim::{Actions, Algorithm, Context, Metrics, OutputHistory, ProcessId, Time};
+
+use crate::clock::{Stopwatch, Ticker};
 
 /// Configuration of a [`Runtime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,7 +127,7 @@ struct Shared<A: Algorithm> {
     leaders: Mutex<Vec<(ProcessId, u64, ProcessId)>>,
     final_states: Mutex<Vec<Option<A>>>,
     metrics: Mutex<Metrics>,
-    started: Instant,
+    stopwatch: Stopwatch,
     stop: AtomicBool,
 }
 
@@ -174,7 +176,7 @@ where
             leaders: Mutex::new(Vec::new()),
             final_states: Mutex::new((0..n).map(|_| None).collect()),
             metrics: Mutex::new(Metrics::new(n)),
-            started: Instant::now(),
+            stopwatch: Stopwatch::start(),
             stop: AtomicBool::new(false),
         });
         let derive: FdDerive<A::Fd> = Arc::new(derive);
@@ -249,6 +251,12 @@ where
         self.shared.outputs.lock().clone()
     }
 
+    /// A snapshot of every `(process, elapsed_ms, leader)` estimate the
+    /// heartbeat Ω modules have output so far.
+    pub fn leaders_so_far(&self) -> Vec<(ProcessId, u64, ProcessId)> {
+        self.shared.leaders.lock().clone()
+    }
+
     /// A snapshot of the application-message counters so far.
     pub fn metrics(&self) -> Metrics {
         self.shared.metrics.lock().clone()
@@ -256,7 +264,7 @@ where
 
     /// Milliseconds elapsed since the runtime was spawned.
     pub fn elapsed_ms(&self) -> u64 {
-        self.shared.started.elapsed().as_millis() as u64
+        self.shared.stopwatch.elapsed_ms()
     }
 
     /// Stops all processes and returns everything they output, together with
@@ -316,32 +324,42 @@ where
     let mut omega = HeartbeatOmega::new(me, n, config.heartbeat);
     let mut tick: u64 = 0;
 
-    // helper closures cannot borrow `shared` mutably twice, so keep them as
-    // plain functions over locals
-    let elapsed_ms = |shared: &Shared<A>| shared.started.elapsed().as_millis() as u64;
-
     // on_start of the heartbeat module and of the application
     let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_start(ctx));
-    record_leaders(me, &hb_actions.outputs, &shared, elapsed_ms(&shared));
     dispatch_hb(me, hb_actions, &senders, &shared);
     let fd = derive(omega.leader(), n);
     let app_actions = run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_start(ctx));
     dispatch_app(me, app_actions, &senders, &shared);
 
+    let mut ticker = Ticker::start(config.tick);
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return algorithm;
         }
-        match receiver.recv_timeout(config.tick) {
-            Ok(Envelope::Crash) => return algorithm,
-            Ok(Envelope::Heartbeat { from, msg }) => {
+        if ticker.fire() {
+            tick += 1;
+            shared.metrics.lock().timer_fires += 1;
+            let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
+            dispatch_hb(me, hb_actions, &senders, &shared);
+            let fd = derive(omega.leader(), n);
+            let app_actions =
+                run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
+            dispatch_app(me, app_actions, &senders, &shared);
+        }
+        let envelope = match receiver.recv_timeout(ticker.wait()) {
+            Ok(envelope) => envelope,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => return algorithm,
+        };
+        match envelope {
+            Envelope::Crash => return algorithm,
+            Envelope::Heartbeat { from, msg } => {
                 let actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| {
                     a.on_message(from, msg, ctx)
                 });
-                record_leaders(me, &actions.outputs, &shared, elapsed_ms(&shared));
                 dispatch_hb(me, actions, &senders, &shared);
             }
-            Ok(Envelope::App { from, msg }) => {
+            Envelope::App { from, msg } => {
                 {
                     let mut metrics = shared.metrics.lock();
                     metrics.messages_delivered += 1;
@@ -353,7 +371,7 @@ where
                 });
                 dispatch_app(me, actions, &senders, &shared);
             }
-            Ok(Envelope::Input(input)) => {
+            Envelope::Input(input) => {
                 shared.metrics.lock().inputs += 1;
                 let fd = derive(omega.leader(), n);
                 let actions = run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| {
@@ -361,18 +379,6 @@ where
                 });
                 dispatch_app(me, actions, &senders, &shared);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                tick += 1;
-                shared.metrics.lock().timer_fires += 1;
-                let hb_actions = run_handler(&mut omega, me, n, (), tick, |a, ctx| a.on_timer(ctx));
-                record_leaders(me, &hb_actions.outputs, &shared, elapsed_ms(&shared));
-                dispatch_hb(me, hb_actions, &senders, &shared);
-                let fd = derive(omega.leader(), n);
-                let app_actions =
-                    run_handler(&mut algorithm, me, n, fd, tick, |a, ctx| a.on_timer(ctx));
-                dispatch_app(me, app_actions, &senders, &shared);
-            }
-            Err(RecvTimeoutError::Disconnected) => return algorithm,
         }
     }
 }
@@ -408,7 +414,7 @@ fn dispatch_app<A: Algorithm>(
     senders: &[Sender<Envelope<A>>],
     shared: &Arc<Shared<A>>,
 ) {
-    let elapsed = shared.started.elapsed().as_millis() as u64;
+    let elapsed = shared.stopwatch.elapsed_ms();
     {
         let mut metrics = shared.metrics.lock();
         for (_, msg) in &actions.sends {
@@ -429,31 +435,26 @@ fn dispatch_app<A: Algorithm>(
     // timer requests are satisfied by the periodic tick
 }
 
+/// Sends the heartbeat module's messages and records its leader outputs
+/// (the initial estimate, then every change).
 fn dispatch_hb<A: Algorithm>(
     me: ProcessId,
     actions: Actions<HeartbeatOmega>,
     senders: &[Sender<Envelope<A>>],
-    _shared: &Arc<Shared<A>>,
+    shared: &Arc<Shared<A>>,
 ) {
     for (to, msg) in actions.sends {
         if let Some(sender) = senders.get(to.index()) {
             let _ = sender.send(Envelope::Heartbeat { from: me, msg });
         }
     }
-}
-
-fn record_leaders<A: Algorithm>(
-    me: ProcessId,
-    leaders: &[ProcessId],
-    shared: &Arc<Shared<A>>,
-    elapsed: u64,
-) {
-    if leaders.is_empty() {
+    if actions.outputs.is_empty() {
         return;
     }
+    let elapsed = shared.stopwatch.elapsed_ms();
     let mut all = shared.leaders.lock();
-    for leader in leaders {
-        all.push((me, elapsed, *leader));
+    for leader in actions.outputs {
+        all.push((me, elapsed, leader));
     }
 }
 
@@ -464,6 +465,7 @@ mod tests {
     use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
     use ec_core::types::EtobBroadcast;
     use ec_sim::ProcessSet;
+    use std::time::Instant;
 
     fn config() -> RuntimeConfig {
         RuntimeConfig {
@@ -629,6 +631,70 @@ mod tests {
                 .map(|m| m.id)
                 .collect();
             assert_eq!(seq, reference, "{p} diverged");
+        }
+    }
+
+    /// Inputs arrive every millisecond — far more often than the 5 ms tick —
+    /// for 60 ticks. The timer must keep firing through the flood, so the
+    /// leader keeps promoting and an op submitted first is delivered
+    /// everywhere before the flood ends; the heartbeats that now flow under
+    /// load must not get p0 suspected.
+    #[test]
+    fn timers_fire_on_schedule_under_a_flood_of_inputs() {
+        let n = 3;
+        let config = RuntimeConfig {
+            tick: Duration::from_millis(5),
+            heartbeat: HeartbeatConfig {
+                period: 2,
+                suspect_after: 20,
+            },
+        };
+        let runtime = Runtime::spawn(n, config, |p| EtobOmega::new(p, EtobConfig::default()));
+        let marker = ProcessId::new(1);
+        let mut next_seq = vec![1u64; n];
+        runtime.submit(marker, EtobBroadcast::new(marker, 1, b"marker".to_vec()));
+        next_seq[marker.index()] += 1;
+
+        let flood = config.tick * 60;
+        let chunk = config.tick * 10;
+        let started = Instant::now();
+        let mut chunk_fires = Vec::new();
+        let mut fires_at_chunk_start = runtime.metrics().timer_fires;
+        let mut marker_everywhere = false;
+        let mut k = 0usize;
+        while started.elapsed() < flood {
+            let origin = ProcessId::new(k % n);
+            k += 1;
+            let seq = next_seq[origin.index()];
+            next_seq[origin.index()] += 1;
+            runtime.submit(origin, EtobBroadcast::new(origin, seq, vec![0u8; 8]));
+            std::thread::sleep(Duration::from_millis(1));
+            if started.elapsed() >= chunk * (chunk_fires.len() as u32 + 1) {
+                let fires = runtime.metrics().timer_fires;
+                chunk_fires.push(fires - fires_at_chunk_start);
+                fires_at_chunk_start = fires;
+            }
+            marker_everywhere = marker_everywhere
+                || (0..n).map(ProcessId::new).all(|p| {
+                    runtime
+                        .latest_output_of(p)
+                        .is_some_and(|seq| seq.iter().any(|m| m.id.origin == marker))
+                });
+        }
+        let report = runtime.shutdown();
+
+        // 10 ticks × 3 processes = 30 fires per chunk on schedule
+        assert!(chunk_fires.len() >= 5, "{chunk_fires:?}");
+        for (i, fires) in chunk_fires.iter().enumerate() {
+            assert!(*fires >= 5, "timer starved in chunk {i}: {chunk_fires:?}");
+        }
+        assert!(
+            marker_everywhere,
+            "the first op was not delivered everywhere while inputs kept arriving"
+        );
+        assert!(report.metrics.inputs >= 100, "{:?}", report.metrics);
+        for (p, ms, leader) in &report.leaders {
+            assert_eq!(*leader, ProcessId::new(0), "{p} changed leader at {ms} ms");
         }
     }
 
