@@ -77,10 +77,9 @@ struct Net {
 
 /// Drives one handler activation of `alg` and routes its effects: sends go
 /// into the per-destination inboxes (fixed [`DELAY`]), timers into the
-/// process's timer heap, and outputs — the full delivered sequence per
-/// delivery — are deliberately **dropped**. Retaining them (as the tracing
-/// simulator does) is what makes 100k-op runs quadratic in memory; the
-/// measured quantities are all readable from the automaton afterwards.
+/// process's timer heap, and outputs — the delivered deltas — are
+/// dropped: the measured quantities are all readable from the automaton
+/// afterwards.
 fn drive(
     alg: &mut EtobOmega,
     p: ProcessId,

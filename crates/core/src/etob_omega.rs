@@ -70,6 +70,17 @@
 //! histories comparable across different fold points. Folded entries cannot
 //! be re-served by anti-entropy; a process that loses its state after the
 //! group folds recovers through `ec-replication`'s durable facade instead.
+//!
+//! # Output: delivered-sequence deltas
+//!
+//! Every change to `d_i` is output as one [`DeliveredDelta`] — "keep the
+//! first `base` entries, then `suffix`" — never as the whole sequence. An
+//! adopted promote delta that extends `d_i` outputs just the new entries,
+//! so a delivery costs O(new entries) however long the history is; `d_i`
+//! is only rewritten (a delta with `base < |d_i|`, a *revocation*) while Ω
+//! is unstable. `base` is absolute, folded prefix included, so
+//! [`crate::types::delivered_sequences`] rebuilds the paper's `d_i(t)`
+//! from an output history even on compacted runs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -77,7 +88,8 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    decode_node, decode_sequence, AppMessage, DeliveredSequence, EtobBroadcast, MsgId,
+    decode_node, decode_sequence, splice_delivered, AppMessage, DeliveredDelta, EtobBroadcast,
+    MsgId,
 };
 use crate::version::VersionVector;
 
@@ -532,6 +544,7 @@ fn hash_step(h: u64, id: MsgId) -> u64 {
 
 /// The rolling prefix hashes of a sequence: `out[k]` hashes the identifiers
 /// of the first `k` entries (`out.len() == sequence.len() + 1`).
+#[cfg(test)]
 fn prefix_hashes(sequence: &[AppMessage]) -> Vec<u64> {
     prefix_hashes_from(FNV_OFFSET, sequence)
 }
@@ -959,67 +972,56 @@ impl EtobOmega {
     }
 
     /// Adopts a full promotion sequence as the delivered sequence
-    /// (full-promote reception) iff it differs from the current one,
-    /// rebuilding the prefix hashes. With a folded prefix the sequence is
-    /// adopted only if its first `folded` entries hash to our fold hash —
-    /// a divergent history can never silently replace compacted state.
-    fn adopt_full_promote(&mut self, sequence: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
-        if self.folded == 0 {
-            if self.delivered != sequence {
-                self.delivered = sequence;
-                self.delivered_hashes = prefix_hashes(&self.delivered);
-                self.record_delivered_tail();
-                ctx.output(self.delivered.clone());
+    /// (full-promote reception) iff it differs from the current one. With a
+    /// folded prefix the sequence is adopted only if its first `folded`
+    /// entries hash to our fold hash — a divergent history can never
+    /// silently replace compacted state.
+    fn adopt_full_promote(&mut self, mut sequence: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
+        if self.folded > 0 {
+            let Some(prefix) = sequence.get(..self.folded) else {
+                // Shorter than our compacted history: a below-fold rewrite.
+                self.compact_conflicts += 1;
+                return;
+            };
+            let h = prefix.iter().fold(FNV_OFFSET, |h, m| hash_step(h, m.id));
+            if h != self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET) {
+                self.compact_conflicts += 1;
+                return;
             }
-            return;
+            sequence.drain(..self.folded);
         }
-        let Some(prefix) = sequence.get(..self.folded) else {
-            // Shorter than our compacted history: a below-fold rewrite.
-            self.compact_conflicts += 1;
-            return;
-        };
-        let h = prefix.iter().fold(FNV_OFFSET, |h, m| hash_step(h, m.id));
-        if h != self.delivered_hashes.first().copied().unwrap_or(FNV_OFFSET) {
-            self.compact_conflicts += 1;
-            return;
-        }
-        let tail = sequence.get(self.folded..).unwrap_or_default();
-        if self.delivered.as_slice() != tail {
-            self.delivered = tail.to_vec();
-            self.delivered_hashes = prefix_hashes_from(h, &self.delivered);
-            self.record_delivered_tail();
-            ctx.output(self.delivered.clone());
-        }
+        self.apply_verified_suffix(0, sequence, ctx);
     }
 
     /// Applies a hash-verified promote suffix at *resident* offset `rel`:
     /// reconstructs exactly the sequence the leader holds and adopts it iff
-    /// it differs from the current delivered sequence (the same condition as
-    /// the full-promote path).
+    /// it differs from the current delivered sequence. The output is the
+    /// canonical [`DeliveredDelta`]: entries of `suffix` that repeat what is
+    /// already delivered at the same positions are skipped, so its base is
+    /// where the two sequences first differ and it costs O(suffix), however
+    /// long the history.
     fn apply_verified_suffix(
         &mut self,
         rel: usize,
         suffix: Vec<AppMessage>,
         ctx: &mut Context<'_, Self>,
     ) {
-        let same = self.delivered.len() == rel + suffix.len()
-            && self
-                .delivered
-                .get(rel..)
-                .is_some_and(|tail| tail == suffix.as_slice());
-        if same {
+        let Some(from) = splice_delivered(&mut self.delivered, rel, suffix) else {
             return;
-        }
-        self.delivered.truncate(rel);
-        self.delivered_hashes.truncate(rel.saturating_add(1));
+        };
+        self.delivered_hashes.truncate(from.saturating_add(1));
+        let fresh = self.delivered.get(from..).unwrap_or_default();
         let mut h = self.delivered_hashes.last().copied().unwrap_or(FNV_OFFSET);
-        for m in suffix {
+        for m in fresh {
             h = hash_step(h, m.id);
             self.delivered_hashes.push(h);
-            self.delivered.push(m);
         }
+        let delta = DeliveredDelta {
+            base: (self.folded + from) as u64,
+            suffix: fresh.to_vec(),
+        };
         self.record_delivered_tail();
-        ctx.output(self.delivered.clone());
+        ctx.output(delta);
     }
 
     /// Compaction evidence exchange, at promote cadence: every process sends
@@ -1190,7 +1192,7 @@ impl fmt::Debug for EtobOmega {
 impl Algorithm for EtobOmega {
     type Msg = EtobMsg;
     type Input = EtobBroadcast;
-    type Output = DeliveredSequence;
+    type Output = DeliveredDelta;
     type Fd = ProcessId;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
@@ -1519,6 +1521,7 @@ impl crate::types::Instrumented for EtobOmega {
 mod tests {
     use super::*;
     use crate::spec::EtobChecker;
+    use crate::types::delivered_sequences;
     use crate::workload::BroadcastWorkload;
     use ec_detectors::omega::{OmegaOracle, PreStabilization};
     use ec_sim::{
@@ -1534,7 +1537,7 @@ mod tests {
         network: NetworkModel,
         horizon: u64,
         config: EtobConfig,
-    ) -> OutputHistory<DeliveredSequence> {
+    ) -> OutputHistory<DeliveredDelta> {
         let mut world = WorldBuilder::new(n)
             .network(network)
             .failures(failures)
@@ -1671,7 +1674,7 @@ mod tests {
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         // every broadcast message was actually delivered by the survivors
-        let final_len = history
+        let final_len = delivered_sequences(&history)
             .last(ProcessId::new(0))
             .map(|s| s.len())
             .unwrap_or(0);
@@ -1713,7 +1716,7 @@ mod tests {
 
         // during the partition (t = 550 < heal) p1 has already delivered
         // messages broadcast on its side
-        let during = history
+        let during = delivered_sequences(&history)
             .value_at(ProcessId::new(1), Time::new(550))
             .map(|s| s.len())
             .unwrap_or(0);
@@ -1754,7 +1757,9 @@ mod tests {
         // find the first time any non-broadcasting process delivered it
         let mut first_delivery = None;
         for p in (0..n).map(ProcessId::new) {
-            if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
+            if let Some(t) = delivered_sequences(&history)
+                .first_time_where(p, |seq| seq.iter().any(|m| m.id == id))
+            {
                 first_delivery = Some(first_delivery.map_or(t, |x: Time| x.min(t)));
             }
         }
@@ -1806,8 +1811,8 @@ mod tests {
             "batching must coalesce update broadcasts ({updates_batched} vs {updates_unbatched})"
         );
         // both runs deliver the same set of messages everywhere
-        let ids = |h: &OutputHistory<DeliveredSequence>| {
-            let mut v: Vec<MsgId> = h
+        let ids = |h: &OutputHistory<DeliveredDelta>| {
+            let mut v: Vec<MsgId> = delivered_sequences(h)
                 .last(ProcessId::new(0))
                 .map(|s| s.iter().map(|m| m.id).collect())
                 .unwrap_or_default();
@@ -1847,8 +1852,9 @@ mod tests {
         let unbatched = run(EtobConfig::default());
         let batched = run(EtobConfig::batched(7));
         for p in (0..n).map(ProcessId::new) {
-            let ids = |h: &OutputHistory<DeliveredSequence>| -> Vec<MsgId> {
-                h.last(p)
+            let ids = |h: &OutputHistory<DeliveredDelta>| -> Vec<MsgId> {
+                delivered_sequences(h)
+                    .last(p)
                     .map(|s| s.iter().map(|m| m.id).collect())
                     .unwrap_or_default()
             };
@@ -2182,13 +2188,14 @@ mod tests {
             6_000,
             EtobConfig::default().with_resend(15),
         );
-        let reference: Vec<MsgId> = history
+        let sequences = delivered_sequences(&history);
+        let reference: Vec<MsgId> = sequences
             .last(ProcessId::new(0))
             .map(|s| s.iter().map(|m| m.id).collect())
             .expect("p0 delivered");
         assert_eq!(reference.len(), 10, "every broadcast must survive loss");
         for p in (0..n).map(ProcessId::new) {
-            let ids: Vec<MsgId> = history
+            let ids: Vec<MsgId> = sequences
                 .last(p)
                 .map(|s| s.iter().map(|m| m.id).collect())
                 .unwrap_or_default();

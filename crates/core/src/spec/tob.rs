@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ec_sim::{OutputHistory, ProcessId, ProcessSet, Time};
 
-use crate::types::{DeliveredSequence, MsgId};
+use crate::types::{delivered_sequences, DeliveredDelta, MsgId};
 
 /// A record of one `broadcastETOB(m, C(m))` invocation, kept by the workload
 /// so the checker knows which messages exist, who broadcast them, when, and
@@ -197,15 +197,18 @@ impl EtobChecker {
         }
     }
 
-    /// Creates a checker from the raw [`DeliveredSequence`] history produced
-    /// by an (E)TOB algorithm's output trace.
+    /// Creates a checker from the raw [`DeliveredDelta`] history produced
+    /// by an (E)TOB algorithm's output trace, rebuilding the absolute
+    /// `d_i(t)` after every output ([`delivered_sequences`]). Delta bases
+    /// are absolute, so this works on compacted runs too.
     pub fn from_delivered(
-        history: &OutputHistory<DeliveredSequence>,
+        history: &OutputHistory<DeliveredDelta>,
         broadcasts: Vec<BroadcastRecord>,
         correct: ProcessSet,
         tau: Time,
     ) -> Self {
-        let projected = history.map(|seq| seq.iter().map(|m| m.id).collect::<Vec<_>>());
+        let projected =
+            delivered_sequences(history).map(|seq| seq.iter().map(|m| m.id).collect::<Vec<_>>());
         Self::new(projected, broadcasts, correct, tau)
     }
 

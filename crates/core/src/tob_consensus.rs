@@ -36,7 +36,7 @@ use std::fmt;
 
 use ec_sim::{Algorithm, Context, ProcessId, ProcessSet};
 
-use crate::types::{decode_sequence, AppMessage, DeliveredSequence, EtobBroadcast, MsgId};
+use crate::types::{decode_sequence, AppMessage, DeliveredDelta, EtobBroadcast, MsgId};
 
 /// Messages of [`ConsensusTob`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -291,9 +291,24 @@ impl ConsensusTob {
         }
     }
 
+    /// Outputs the entries delivered since absolute index `from` (the
+    /// decided order only grows, so every change is an extension), and
+    /// records them in the attached recorder.
+    fn output_delivered_from(&mut self, from: usize, ctx: &mut Context<'_, Self>) {
+        let Some(fresh) = self.delivered.get(from..).filter(|f| !f.is_empty()) else {
+            return;
+        };
+        let delta = DeliveredDelta {
+            base: from as u64,
+            suffix: fresh.to_vec(),
+        };
+        self.record_delivered_tail();
+        ctx.output(delta);
+    }
+
     fn try_deliver(&mut self, ctx: &mut Context<'_, Self>) {
         let quorum = Self::quorum(ctx);
-        let mut changed = false;
+        let before = self.delivered.len();
         loop {
             let slot = self.next_deliver_slot;
             let Some(message) = self.proposals.get(&slot) else {
@@ -307,14 +322,10 @@ impl ConsensusTob {
             self.pending_own.remove(&message.id);
             if self.delivered_ids.insert(message.id) {
                 self.delivered.push(message);
-                changed = true;
             }
             self.next_deliver_slot += 1;
         }
-        if changed {
-            self.record_delivered_tail();
-            ctx.output(self.delivered.clone());
-        }
+        self.output_delivered_from(before, ctx);
     }
 }
 
@@ -332,7 +343,7 @@ impl fmt::Debug for ConsensusTob {
 impl Algorithm for ConsensusTob {
     type Msg = TobMsg;
     type Input = EtobBroadcast;
-    type Output = DeliveredSequence;
+    type Output = DeliveredDelta;
     /// The pair (Ω, Σ): the eventual leader and a quorum.
     type Fd = (ProcessId, ProcessSet);
 
@@ -445,21 +456,17 @@ impl Algorithm for ConsensusTob {
                 if Self::leader(ctx) == from {
                     let have = have as usize;
                     if have <= self.delivered.len() {
-                        let skip = self.delivered.len() - have;
-                        let mut changed = false;
+                        let before = self.delivered.len();
+                        let skip = before - have;
                         for message in suffix.into_iter().skip(skip) {
                             self.pending_own.remove(&message.id);
                             self.sequenced.insert(message.id);
                             if self.delivered_ids.insert(message.id) {
                                 self.delivered.push(message);
-                                changed = true;
                             }
                         }
                         self.next_deliver_slot = self.next_deliver_slot.max(next_deliver_slot);
-                        if changed {
-                            self.record_delivered_tail();
-                            ctx.output(self.delivered.clone());
-                        }
+                        self.output_delivered_from(before, ctx);
                     }
                 }
             }
@@ -533,6 +540,7 @@ impl crate::types::Instrumented for ConsensusTob {
 mod tests {
     use super::*;
     use crate::spec::EtobChecker;
+    use crate::types::delivered_sequences;
     use crate::workload::BroadcastWorkload;
     use ec_detectors::{omega::OmegaOracle, sigma::SigmaOracle, PairFd};
     use ec_sim::{
@@ -547,7 +555,7 @@ mod tests {
         network: NetworkModel,
         fd: impl FailureDetector<Output = (ProcessId, ProcessSet)>,
         horizon: u64,
-    ) -> OutputHistory<DeliveredSequence> {
+    ) -> OutputHistory<DeliveredDelta> {
         let mut world = WorldBuilder::new(n)
             .network(network)
             .failures(failures)
@@ -649,7 +657,10 @@ mod tests {
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         // everything is delivered everywhere
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(history.last(p).map(|s| s.len()), Some(10));
+            assert_eq!(
+                delivered_sequences(&history).last(p).map(|s| s.len()),
+                Some(10)
+            );
         }
     }
 
@@ -680,7 +691,9 @@ mod tests {
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         assert_eq!(
-            history.last(ProcessId::new(0)).map(|s| s.len()),
+            delivered_sequences(&history)
+                .last(ProcessId::new(0))
+                .map(|s| s.len()),
             Some(9),
             "all messages from correct processes must be delivered"
         );
@@ -718,7 +731,7 @@ mod tests {
 
         // during the partition: no deliveries of the new messages anywhere
         for p in (0..n).map(ProcessId::new) {
-            let during = history
+            let during = delivered_sequences(&history)
                 .value_at(p, Time::new(heal - 1))
                 .map(|s| s.len())
                 .unwrap_or(0);
@@ -732,7 +745,12 @@ mod tests {
             Time::ZERO,
         );
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
-        assert_eq!(history.last(ProcessId::new(2)).map(|s| s.len()), Some(4));
+        assert_eq!(
+            delivered_sequences(&history)
+                .last(ProcessId::new(2))
+                .map(|s| s.len()),
+            Some(4)
+        );
     }
 
     #[test]
@@ -794,7 +812,9 @@ mod tests {
         let id = workload.ids()[0];
         let mut first_delivery = None;
         for p in (0..n).map(ProcessId::new) {
-            if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
+            if let Some(t) = delivered_sequences(&history)
+                .first_time_where(p, |seq| seq.iter().any(|m| m.id == id))
+            {
                 first_delivery = Some(first_delivery.map_or(t, |x: Time| x.min(t)));
             }
         }
@@ -841,7 +861,7 @@ mod tests {
                 .build_with(|p| ConsensusTob::new(p, config), fd);
             workload.submit_to(&mut world);
             world.run_until(4_000);
-            world.trace().output_history()
+            delivered_sequences(&world.trace().output_history())
         };
 
         let without = run_with(ConsensusTobConfig::default());

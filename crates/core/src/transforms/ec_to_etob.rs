@@ -14,8 +14,8 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    AppMessage, DeliveredSequence, EcInput, EcOutput, Either, EtobBroadcast, EventualConsensus,
-    MsgId,
+    splice_delivered, AppMessage, DeliveredDelta, EcInput, EcOutput, Either, EtobBroadcast,
+    EventualConsensus, MsgId,
 };
 use crate::wrapper::run_inner;
 
@@ -119,11 +119,11 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>>> EcToEtob<E> {
                 // delivers exactly one response per instance, so ignore
                 continue;
             }
-            if self.delivered != response.value {
-                self.delivered = response.value.clone();
-                ctx.output(self.delivered.clone());
-            } else {
-                self.delivered = response.value.clone();
+            if let Some(from) = splice_delivered(&mut self.delivered, 0, response.value) {
+                ctx.output(DeliveredDelta {
+                    base: from as u64,
+                    suffix: self.delivered.get(from..).unwrap_or_default().to_vec(),
+                });
             }
             self.count += 1;
             let mut proposal = self.delivered.clone();
@@ -147,7 +147,7 @@ impl<E: EventualConsensus<Value = Vec<AppMessage>> + fmt::Debug> fmt::Debug for 
 impl<E: EventualConsensus<Value = Vec<AppMessage>>> Algorithm for EcToEtob<E> {
     type Msg = Either<AppMessage, E::Msg>;
     type Input = EtobBroadcast;
-    type Output = DeliveredSequence;
+    type Output = DeliveredDelta;
     type Fd = E::Fd;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Self>) {
@@ -226,6 +226,7 @@ mod tests {
     use super::*;
     use crate::ec_omega::{EcConfig, EcOmega};
     use crate::spec::EtobChecker;
+    use crate::types::delivered_sequences;
     use crate::workload::BroadcastWorkload;
     use ec_detectors::omega::OmegaOracle;
     use ec_sim::{FailurePattern, NetworkModel, OutputHistory, Time, WorldBuilder};
@@ -242,7 +243,7 @@ mod tests {
         failures: FailurePattern,
         omega: OmegaOracle,
         horizon: u64,
-    ) -> OutputHistory<DeliveredSequence> {
+    ) -> OutputHistory<DeliveredDelta> {
         let mut world = WorldBuilder::new(n)
             .network(NetworkModel::fixed_delay(2))
             .failures(failures)
@@ -269,7 +270,10 @@ mod tests {
         assert!(checker.check_all().is_ok(), "{:?}", checker.check_all());
         // everything broadcast ends up delivered everywhere
         for p in (0..n).map(ProcessId::new) {
-            assert_eq!(history.last(p).map(|s| s.len()), Some(9));
+            assert_eq!(
+                delivered_sequences(&history).last(p).map(|s| s.len()),
+                Some(9)
+            );
         }
     }
 

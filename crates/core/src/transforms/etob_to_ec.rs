@@ -13,7 +13,7 @@ use std::fmt;
 use ec_sim::{Algorithm, Context, ProcessId};
 
 use crate::types::{
-    AppMessage, DeliveredSequence, EcInput, EcOutput, EtobBroadcast, EventualConsensus,
+    AppMessage, DeliveredDelta, EcInput, EcOutput, EtobBroadcast, EventualConsensus,
     EventualTotalOrderBroadcast, MsgId,
 };
 use crate::wrapper::run_inner;
@@ -86,7 +86,7 @@ impl<B: EventualTotalOrderBroadcast> EtobToEc<B> {
         &mut self,
         actions: ec_sim::Actions<B>,
         ctx: &mut Context<'_, Self>,
-        deliveries: &mut VecDeque<DeliveredSequence>,
+        deliveries: &mut VecDeque<DeliveredDelta>,
     ) {
         for (to, msg) in actions.sends {
             ctx.send(to, msg);
@@ -97,9 +97,9 @@ impl<B: EventualTotalOrderBroadcast> EtobToEc<B> {
         deliveries.extend(actions.outputs);
     }
 
-    fn absorb(&mut self, deliveries: &mut VecDeque<DeliveredSequence>) {
-        while let Some(sequence) = deliveries.pop_front() {
-            self.delivered = sequence;
+    fn absorb(&mut self, deliveries: &mut VecDeque<DeliveredDelta>) {
+        while let Some(delta) = deliveries.pop_front() {
+            delta.apply(&mut self.delivered);
         }
     }
 

@@ -5,7 +5,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use ec_sim::{Algorithm, ProcessId};
+use ec_sim::{Algorithm, OutputHistory, ProcessId};
 
 use crate::version::VersionVector;
 
@@ -152,25 +152,115 @@ impl EtobBroadcast {
     }
 }
 
-/// The output produced by every (E)TOB implementation: the full current
-/// delivered sequence `d_i`, emitted every time it changes. Keeping the whole
-/// sequence in each output makes the paper's `d_i(t)` directly available to
-/// the specification checkers.
+/// A whole delivered sequence `d_i(t)`, from absolute index 0: what a
+/// [`DeliveredDelta`] history folds back into ([`delivered_sequences`]).
 pub type DeliveredSequence = Vec<AppMessage>;
 
+/// The output produced by every (E)TOB implementation: one change to the
+/// delivered sequence `d_i`, emitted every time it changes.
+///
+/// The delta means `d_i(t) = d_i(t⁻)[..base] ++ suffix`: keep the first
+/// `base` entries, drop the rest, append `suffix`. `base` is *absolute* — it
+/// counts entries folded out of resident state by stable-prefix compaction
+/// too — so a history of deltas rebuilds the whole `d_i(t)` at every `t`
+/// ([`DeliveredDelta::apply`], [`delivered_sequences`]).
+///
+/// An extension has `base = |d_i(t⁻)|`, so handing a delivery to a consumer
+/// costs O(new entries), not O(history). The implementations in this crate
+/// emit *canonical* deltas — `base` is the length of the longest common
+/// prefix of the old and new sequence — so a delta with `base < |d_i(t⁻)|`
+/// is exactly a revocation of the tentative order, of depth
+/// `|d_i(t⁻)| − base`. Consumers still compare any overlap by identifier,
+/// so a non-canonical delta (one that re-sends entries already delivered)
+/// is applied correctly.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DeliveredDelta {
+    /// Absolute length of the kept prefix of the previous sequence.
+    pub base: u64,
+    /// The entries that follow the kept prefix.
+    pub suffix: Vec<AppMessage>,
+}
+
+impl DeliveredDelta {
+    /// Absolute length of the sequence after the change.
+    pub fn end(&self) -> u64 {
+        self.base + self.suffix.len() as u64
+    }
+
+    /// Applies the change to `sequence`, the whole `d_i` from absolute index
+    /// 0. Returns `false`, leaving `sequence` untouched, if `base` lies
+    /// beyond its end (the history is missing the entries in between).
+    pub fn apply(&self, sequence: &mut DeliveredSequence) -> bool {
+        match usize::try_from(self.base) {
+            Ok(base) if base <= sequence.len() => {
+                sequence.truncate(base);
+                sequence.extend(self.suffix.iter().cloned());
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// Replaces everything from index `at` of `sequence` with `suffix`
+/// (`d := d[..at] ++ suffix`), leaving in place the entries `suffix`
+/// repeats (compared by identifier, which determines the payload). Returns
+/// the first index at which `sequence` changed, or `None` if it did not
+/// change or `at` lies beyond its end. Costs O(|suffix|) plus the entries
+/// dropped, however long `sequence` is.
+pub fn splice_delivered(
+    sequence: &mut Vec<AppMessage>,
+    at: usize,
+    mut suffix: Vec<AppMessage>,
+) -> Option<usize> {
+    let kept = sequence.get(at..)?;
+    let common = kept
+        .iter()
+        .zip(&suffix)
+        .take_while(|(a, b)| a.id == b.id)
+        .count();
+    if common == suffix.len() && common == kept.len() {
+        return None;
+    }
+    let from = at + common;
+    sequence.truncate(from);
+    sequence.extend(suffix.drain(common..));
+    Some(from)
+}
+
+/// Folds a history of [`DeliveredDelta`] outputs into the whole delivered
+/// sequence `d_i(t)` after each output: the form the TOB/ETOB
+/// specification quantifies over. Costs O(Σ |d_i(t)|); meant for checkers
+/// and tests, never for a hot path.
+pub fn delivered_sequences(
+    history: &OutputHistory<DeliveredDelta>,
+) -> OutputHistory<DeliveredSequence> {
+    let mut sequences = OutputHistory::new(history.n());
+    for i in 0..history.n() {
+        let p = ProcessId::new(i);
+        let mut current = DeliveredSequence::new();
+        for (t, delta) in history.outputs(p) {
+            delta.apply(&mut current);
+            sequences.record(p, *t, current.clone());
+        }
+    }
+    sequences
+}
+
 /// The interface of an eventual-total-order-broadcast implementation: an
-/// [`Algorithm`] whose input is [`EtobBroadcast`] and whose output is the
-/// current [`DeliveredSequence`]. Implementations include the direct Ω-based
-/// Algorithm 5 ([`crate::etob_omega::EtobOmega`]), the transformation from
-/// eventual consensus ([`crate::transforms::EcToEtob`], Algorithm 1), and the
-/// strongly consistent baseline ([`crate::tob_consensus::ConsensusTob`]).
+/// [`Algorithm`] whose input is [`EtobBroadcast`] and whose output is a
+/// [`DeliveredDelta`] on the current delivered sequence. Implementations
+/// include the direct Ω-based Algorithm 5 ([`crate::etob_omega::EtobOmega`]),
+/// the transformation from eventual consensus ([`crate::transforms::EcToEtob`],
+/// Algorithm 1), and the strongly consistent baseline
+/// ([`crate::tob_consensus::ConsensusTob`]).
 pub trait EventualTotalOrderBroadcast:
-    Algorithm<Input = EtobBroadcast, Output = DeliveredSequence>
+    Algorithm<Input = EtobBroadcast, Output = DeliveredDelta>
 {
 }
 
 impl<T> EventualTotalOrderBroadcast for T where
-    T: Algorithm<Input = EtobBroadcast, Output = DeliveredSequence>
+    T: Algorithm<Input = EtobBroadcast, Output = DeliveredDelta>
 {
 }
 
@@ -435,6 +525,48 @@ mod tests {
         let dep = MsgId::new(ProcessId::new(2), 8);
         let c = EtobBroadcast::with_deps(ProcessId::new(2), 10, b"y".to_vec(), vec![dep]);
         assert_eq!(c.message.deps, vec![dep]);
+    }
+
+    #[test]
+    fn deltas_splice_and_rebuild_delivered_sequences() {
+        let m = |seq| AppMessage::new(MsgId::new(ProcessId::new(0), seq), vec![]);
+        let ids = |d: &[AppMessage]| d.iter().map(|x| x.id.seq).collect::<Vec<_>>();
+        let mut d = vec![m(1), m(2), m(3)];
+        // repeating entries already in place changes nothing
+        assert_eq!(splice_delivered(&mut d, 1, vec![m(2), m(3)]), None);
+        // an overlapping extension changes the sequence from its new entry
+        assert_eq!(splice_delivered(&mut d, 1, vec![m(2), m(3), m(4)]), Some(3));
+        // a rewrite changes it from the first differing entry
+        assert_eq!(splice_delivered(&mut d, 1, vec![m(2), m(5)]), Some(2));
+        assert_eq!(ids(&d), vec![1, 2, 5]);
+        assert_eq!(
+            splice_delivered(&mut d, 4, vec![m(6)]),
+            None,
+            "beyond the end"
+        );
+
+        let mut history = OutputHistory::new(1);
+        let p = ProcessId::new(0);
+        for (t, base, seqs) in [(1, 0, vec![1, 2]), (2, 2, vec![3]), (3, 1, vec![4])] {
+            let suffix = seqs.into_iter().map(m).collect();
+            history.record(p, ec_sim::Time::new(t), DeliveredDelta { base, suffix });
+        }
+        let sequences = delivered_sequences(&history);
+        let at = |t| sequences.value_at(p, ec_sim::Time::new(t)).map(|d| ids(d));
+        assert_eq!(at(1), Some(vec![1, 2]));
+        assert_eq!(at(2), Some(vec![1, 2, 3]));
+        assert_eq!(at(3), Some(vec![1, 4]));
+        let gap = DeliveredDelta {
+            base: 5,
+            suffix: vec![m(9)],
+        };
+        let mut whole = vec![m(1)];
+        assert!(
+            !gap.apply(&mut whole),
+            "a base beyond the end cannot be placed"
+        );
+        assert_eq!(gap.end(), 6);
+        assert_eq!(ids(&whole), vec![1]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use ec_core::etob_omega::{EtobConfig, EtobOmega};
 use ec_core::spec::EtobChecker;
-use ec_core::types::{DeliveredSequence, MsgId};
+use ec_core::types::{DeliveredDelta, MsgId};
 use ec_core::workload::BroadcastWorkload;
 use ec_detectors::omega::OmegaOracle;
 use ec_sim::{
@@ -37,7 +37,7 @@ fn run(
     seed: u64,
     config: EtobConfig,
     horizon: u64,
-) -> OutputHistory<DeliveredSequence> {
+) -> OutputHistory<DeliveredDelta> {
     run_on(
         n,
         workload,
@@ -55,7 +55,7 @@ fn run_on(
     config: EtobConfig,
     horizon: u64,
     network: NetworkModel,
-) -> OutputHistory<DeliveredSequence> {
+) -> OutputHistory<DeliveredDelta> {
     let failures = FailurePattern::no_failures(n);
     let omega = OmegaOracle::stable_from_start(failures.clone());
     let mut world = WorldBuilder::new(n)
@@ -68,11 +68,12 @@ fn run_on(
     world.trace().output_history()
 }
 
-fn final_ids(history: &OutputHistory<DeliveredSequence>, p: ProcessId) -> Vec<MsgId> {
-    history
-        .last(p)
-        .map(|seq| seq.iter().map(|m| m.id).collect())
-        .unwrap_or_default()
+fn final_ids(history: &OutputHistory<DeliveredDelta>, p: ProcessId) -> Vec<MsgId> {
+    let mut sequence = Vec::new();
+    for (_, delta) in history.outputs(p) {
+        delta.apply(&mut sequence);
+    }
+    sequence.iter().map(|m| m.id).collect()
 }
 
 proptest! {

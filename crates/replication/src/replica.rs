@@ -4,8 +4,8 @@
 use std::fmt;
 
 use ec_core::types::{
-    AppMessage, Compactable, DeliveredSequence, EtobBroadcast, EventualTotalOrderBroadcast,
-    Instrumented, MsgId, Payload,
+    splice_delivered, AppMessage, Compactable, DeliveredDelta, EtobBroadcast,
+    EventualTotalOrderBroadcast, Instrumented, MsgId, Payload,
 };
 use ec_sim::{Algorithm, Context, ProcessId};
 
@@ -99,20 +99,31 @@ pub struct ReplicaOutput {
 ///
 /// With `B = EtobOmega` (Algorithm 5) this is an **eventually consistent**
 /// replicated service that only needs Ω; with `B = ConsensusTob` it is a
-/// **strongly consistent** one that needs Ω + Σ. The replica replays the full
-/// delivered sequence whenever it changes, so divergence and convergence of
-/// the broadcast layer translate directly into divergence and convergence of
-/// replica snapshots.
+/// **strongly consistent** one that needs Ω + Σ. The state machine always
+/// holds the sequential replay of the broadcast layer's current delivered
+/// sequence, so divergence and convergence of the broadcast layer translate
+/// directly into divergence and convergence of replica snapshots.
+///
+/// ## Delivered deltas
+///
+/// The broadcast layer outputs each change to its delivered sequence as a
+/// [`DeliveredDelta`], and the replica applies every delta of an activation
+/// in order to its mirror of that sequence. A delta that only appends
+/// (its overlap with the mirror agrees on identifiers) costs O(delta): the
+/// new entries are applied to the live state. A delta that changes or
+/// drops applied entries is a *revocation* of the tentative order: it is
+/// counted in the broadcast layer's telemetry recorder, with its depth, and
+/// the state is rebuilt once per activation by replaying the mirror on top
+/// of `base_state`.
 ///
 /// ## Stable-prefix folding
 ///
 /// When the broadcast layer compacts ([`Compactable::stable_base`] grows),
-/// its delivered outputs shrink to the resident tail. The replica mirrors
-/// the fold: the folded prefix's effect is absorbed into `base_state` (the
-/// state machine at absolute index `base_applied`) and only the tail is
-/// replayed on top, so replica memory tracks the broadcast layer's instead
-/// of the full history. With compaction off, `base_applied` stays 0 and
-/// this is exactly the classic full replay.
+/// the replica mirrors the fold: the folded prefix's effect is absorbed into
+/// `base_state` (the state machine at absolute index `base_applied`) and
+/// only the tail beyond it is kept and replayed on a revocation, so replica
+/// memory tracks the broadcast layer's instead of the full history. With
+/// compaction off, `base_applied` stays 0.
 ///
 /// ## Durability
 ///
@@ -133,7 +144,8 @@ pub struct Replica<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable
     base_state: S,
     /// Absolute length of the folded prefix baked into `base_state`.
     base_applied: usize,
-    /// Resident delivered tail (the broadcast layer's last output).
+    /// The broadcast layer's delivered sequence beyond `base_applied`,
+    /// mirrored from its [`DeliveredDelta`] outputs.
     tail: Vec<AppMessage>,
     durable_options: Option<DurableOptions>,
     durable: Option<DurableStore>,
@@ -212,7 +224,7 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         &mut self,
         actions: ec_sim::Actions<B>,
         ctx: &mut Context<'_, Self>,
-    ) -> Vec<DeliveredSequence> {
+    ) -> Vec<DeliveredDelta> {
         for (to, msg) in actions.sends {
             ctx.send(to, msg);
         }
@@ -232,33 +244,64 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
         self.emit_output(ctx);
     }
 
-    /// Adopts a freshly delivered sequence as the resident tail.
+    /// Applies one delivered delta to the mirrored tail. Returns the tail
+    /// index from which the tail changed, or `None` if it did not change.
     ///
-    /// Deliveries almost always *extend* the previous tail — the broadcast
-    /// layer only rewrites the prefix while Ω is unstable — so the common
-    /// case applies just the new suffix to the live state. The previous
-    /// implementation rebuilt from a clone of the base state on every
-    /// delivery, replaying the whole tail each time: per-operation cost
-    /// grew with the delivered history and dominated the E10 profile.
-    fn adopt_tail(&mut self, new_tail: Vec<AppMessage>, ctx: &mut Context<'_, Self>) {
-        let is_extension = new_tail.len() >= self.tail.len()
-            && self.tail.iter().zip(&new_tail).all(|(a, b)| a.id == b.id);
-        if !is_extension {
-            // prefix rewrite: fall back to the full replay
-            self.tail = new_tail;
+    /// Only the delta's own entries are compared and copied, so an
+    /// extension costs O(delta) however long the tail is. Entries the delta
+    /// repeats are skipped by identifier (identifiers determine payloads).
+    /// Entries it changes or drops are a revocation, recorded with its
+    /// depth. A delta below `base_applied` can only repeat folded, stable
+    /// entries, which are skipped too; one that starts beyond the tail
+    /// cannot be placed and is ignored.
+    fn adopt_delta(&mut self, delta: DeliveredDelta) -> Option<usize> {
+        let DeliveredDelta { base, mut suffix } = delta;
+        let folded = self.base_applied as u64;
+        let rel = if base < folded {
+            let skip = usize::try_from(folded - base).ok()?;
+            if skip > suffix.len() {
+                return None;
+            }
+            suffix.drain(..skip);
+            0
+        } else {
+            usize::try_from(base - folded).ok()?
+        };
+        let applied = self.tail.len();
+        let from = splice_delivered(&mut self.tail, rel, suffix)?;
+        if from < applied {
+            if let Some(recorder) = self.broadcast.recorder_mut() {
+                recorder.revoked((applied - from) as u64);
+            }
+        }
+        Some(from)
+    }
+
+    /// Applies an activation's deltas in order, then brings the state up to
+    /// date once: the new entries alone after an extension, a replay from
+    /// `base_state` after a revocation. Returns whether the tail changed.
+    fn adopt_deltas(&mut self, deltas: Vec<DeliveredDelta>, ctx: &mut Context<'_, Self>) -> bool {
+        let applied = self.tail.len();
+        let mut intact = applied;
+        let mut changed = false;
+        for delta in deltas {
+            if let Some(at) = self.adopt_delta(delta) {
+                intact = intact.min(at);
+                changed = true;
+            }
+        }
+        if !changed {
+            return false;
+        }
+        if intact < applied {
             self.rebuild(ctx);
-            return;
+        } else {
+            for m in self.tail.get(applied..).unwrap_or_default() {
+                self.state.apply(m.payload.as_ref());
+            }
+            self.emit_output(ctx);
         }
-        if new_tail.len() == self.tail.len() && self.last_output.is_some() {
-            // identical sequence re-delivered — identifiers determine
-            // payloads, so the visible state cannot have changed
-            return;
-        }
-        for m in new_tail.iter().skip(self.tail.len()) {
-            self.state.apply(m.payload.as_ref());
-        }
-        self.tail = new_tail;
-        self.emit_output(ctx);
+        true
     }
 
     /// Emits a [`ReplicaOutput`] if the visible state changed since the
@@ -285,27 +328,27 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
 
     /// Absorbs a broadcast-layer fold into the base state: the broadcast
     /// only folds a globally stable prefix, so the tail entries below the
-    /// new stable base are final and can be applied permanently.
-    ///
-    /// Runs *before* any new tail is adopted: the stored tail always starts
-    /// at `base_applied`, and the broadcast layer never folds and emits a
-    /// delivered output in the same activation (folds happen on the promote
-    /// timer, outputs on message receipt), so draining the prefix from the
-    /// old tail is correct in every interleaving.
-    fn reconcile_fold(&mut self) {
+    /// new stable base are final and can be applied permanently. Runs after
+    /// the activation's deltas are adopted, so the drained entries are those
+    /// of the broadcast layer's current sequence. Returns whether anything
+    /// was folded.
+    fn reconcile_fold(&mut self) -> bool {
         let stable = usize::try_from(self.broadcast.stable_base()).unwrap_or(usize::MAX);
         if stable <= self.base_applied {
-            return;
+            return false;
         }
         let drain = (stable - self.base_applied).min(self.tail.len());
         for m in self.tail.drain(..drain) {
             self.base_state.apply(m.payload.as_ref());
         }
         self.base_applied += drain;
+        drain > 0
     }
 
     /// Mirrors the current tail into the durable store and checkpoints when
-    /// due. A no-op without a store or when nothing changed.
+    /// due. Called only after an activation that changed the tail or folded
+    /// (the checkpoint cadence counts logged entries, so it cannot come due
+    /// in any other activation); a no-op without a store.
     fn persist(&mut self) {
         if self.durable.is_none() {
             return;
@@ -382,14 +425,12 @@ impl<S: StateMachine, B: EventualTotalOrderBroadcast + Compactable + Instrumente
                 Context::new(ctx.me(), ctx.now(), ctx.n(), ctx.fd().clone(), &mut actions);
             f(&mut self.broadcast, &mut ictx);
         }
-        let mut deliveries = self.relay(actions, ctx);
-        self.reconcile_fold();
-        // Only the newest delivered sequence matters (each one supersedes
-        // the previous); taking it by value avoids cloning the whole tail.
-        if let Some(last) = deliveries.pop() {
-            self.adopt_tail(last, ctx);
+        let deliveries = self.relay(actions, ctx);
+        let adopted = self.adopt_deltas(deliveries, ctx);
+        let folded = self.reconcile_fold();
+        if adopted || folded {
+            self.persist();
         }
-        self.persist();
     }
 }
 
@@ -667,5 +708,282 @@ mod tests {
             world.algorithm(ProcessId::new(1)).state().get("b"),
             Some("2")
         );
+    }
+
+    /// A broadcast layer that outputs exactly the deltas it is sent and
+    /// folds to the base it is told: delta adoption in isolation.
+    #[derive(Debug, Default)]
+    struct Scripted {
+        folded: u64,
+        recorder: Option<ec_telemetry::Recorder>,
+    }
+
+    #[derive(Clone, Debug)]
+    struct Script {
+        deltas: Vec<DeliveredDelta>,
+        fold_to: u64,
+    }
+
+    impl Algorithm for Scripted {
+        type Msg = Script;
+        type Input = EtobBroadcast;
+        type Output = DeliveredDelta;
+        type Fd = ();
+
+        fn on_message(&mut self, _from: ProcessId, msg: Script, ctx: &mut Context<'_, Self>) {
+            for delta in msg.deltas {
+                ctx.output(delta);
+            }
+            self.folded = self.folded.max(msg.fold_to);
+        }
+    }
+
+    impl Compactable for Scripted {
+        fn stable_base(&self) -> u64 {
+            self.folded
+        }
+
+        fn prime_recovery(
+            &mut self,
+            base: u64,
+            _hash: u64,
+            _frontier: ec_core::VersionVector,
+            _tail: Vec<AppMessage>,
+        ) -> bool {
+            self.folded = base;
+            true
+        }
+    }
+
+    impl Instrumented for Scripted {
+        fn attach_recorder(&mut self, recorder: ec_telemetry::Recorder) {
+            self.recorder = Some(recorder);
+        }
+
+        fn recorder(&self) -> Option<&ec_telemetry::Recorder> {
+            self.recorder.as_ref()
+        }
+
+        fn recorder_mut(&mut self) -> Option<&mut ec_telemetry::Recorder> {
+            self.recorder.as_mut()
+        }
+    }
+
+    type ScriptedReplica = Replica<KvStore, Scripted>;
+
+    fn scripted() -> ScriptedReplica {
+        let mut layer = Scripted::default();
+        layer.attach_recorder(ec_telemetry::Recorder::new(
+            0,
+            ec_telemetry::TimeSource::Logical,
+            64,
+        ));
+        Replica::new(layer)
+    }
+
+    /// Message `k`: order-sensitive writes over three keys.
+    fn m(k: u64) -> AppMessage {
+        AppMessage::new(
+            MsgId::new(ProcessId::new(0), k),
+            KvStore::put(&format!("k{}", k % 3), &k.to_string()),
+        )
+    }
+
+    fn delta(base: u64, ks: &[u64]) -> DeliveredDelta {
+        DeliveredDelta {
+            base,
+            suffix: ks.iter().copied().map(m).collect(),
+        }
+    }
+
+    /// The sequential replay of `ks`: what the replica must hold.
+    fn replay(ks: &[u64]) -> Vec<u8> {
+        let mut state = KvStore::default();
+        for &k in ks {
+            state.apply(&m(k).payload);
+        }
+        state.snapshot()
+    }
+
+    fn step<F>(replica: &mut ScriptedReplica, f: F) -> Vec<ReplicaOutput>
+    where
+        F: FnOnce(&mut ScriptedReplica, &mut Context<'_, ScriptedReplica>),
+    {
+        let mut actions = ec_sim::Actions::<ScriptedReplica>::new();
+        {
+            let mut ctx = Context::new(ProcessId::new(0), Time::new(1), 1, (), &mut actions);
+            f(replica, &mut ctx);
+        }
+        actions.outputs
+    }
+
+    fn deliver(
+        replica: &mut ScriptedReplica,
+        deltas: Vec<DeliveredDelta>,
+        fold_to: u64,
+    ) -> Vec<ReplicaOutput> {
+        let script = Script { deltas, fold_to };
+        step(replica, |r, ctx| {
+            r.on_message(ProcessId::new(0), script, ctx)
+        })
+    }
+
+    fn revocations(replica: &ScriptedReplica) -> Vec<u64> {
+        let recorder = replica.broadcast_layer().recorder().expect("recorder");
+        recorder
+            .events()
+            .iter()
+            .filter(|e| e.kind == ec_telemetry::EventKind::Revoked)
+            .map(|e| e.seq)
+            .collect()
+    }
+
+    fn assert_holds(replica: &ScriptedReplica, ks: &[u64]) {
+        assert_eq!(replica.applied(), ks.len());
+        assert_eq!(
+            replica.state().snapshot(),
+            replay(ks),
+            "not the replay of {ks:?}"
+        );
+    }
+
+    #[test]
+    fn an_extension_applies_only_the_new_entries() {
+        let mut r = scripted();
+        let outs = deliver(&mut r, vec![delta(0, &[1, 2])], 0);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].applied, 2);
+        let outs = deliver(&mut r, vec![delta(2, &[3])], 0);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].snapshot, replay(&[1, 2, 3]));
+        assert_holds(&r, &[1, 2, 3]);
+        assert!(revocations(&r).is_empty());
+    }
+
+    #[test]
+    fn an_identical_redelivery_emits_nothing() {
+        let mut r = scripted();
+        deliver(&mut r, vec![delta(0, &[1, 2])], 0);
+        assert!(deliver(&mut r, vec![delta(0, &[1, 2])], 0).is_empty());
+        assert!(deliver(&mut r, vec![delta(1, &[2])], 0).is_empty());
+        assert_holds(&r, &[1, 2]);
+        assert!(revocations(&r).is_empty());
+    }
+
+    #[test]
+    fn a_suffix_overlapping_applied_entries_is_an_extension() {
+        let mut r = scripted();
+        deliver(&mut r, vec![delta(0, &[1, 2, 3])], 0);
+        // a promote based below the local length that agrees on the overlap
+        let outs = deliver(&mut r, vec![delta(1, &[2, 3, 4])], 0);
+        assert_eq!(outs.len(), 1);
+        assert_holds(&r, &[1, 2, 3, 4]);
+        assert!(revocations(&r).is_empty());
+    }
+
+    #[test]
+    fn prefix_and_shrinking_rewrites_replay_the_new_sequence() {
+        let mut r = scripted();
+        deliver(&mut r, vec![delta(0, &[1, 2, 3])], 0);
+        let outs = deliver(&mut r, vec![delta(1, &[4, 3])], 0);
+        assert_eq!(outs.len(), 1);
+        assert_holds(&r, &[1, 4, 3]);
+        let outs = deliver(&mut r, vec![delta(1, &[])], 0);
+        assert_eq!(outs.len(), 1);
+        assert_holds(&r, &[1]);
+        assert_eq!(revocations(&r), vec![2, 2]);
+        let report = r.broadcast_layer().recorder().expect("recorder").report();
+        assert_eq!(report.revocations(), 2);
+    }
+
+    #[test]
+    fn every_delta_of_an_activation_is_applied_in_order() {
+        let mut r = scripted();
+        deliver(&mut r, vec![delta(0, &[1])], 0);
+        let outs = deliver(
+            &mut r,
+            vec![delta(1, &[2, 3]), delta(2, &[4]), delta(3, &[5])],
+            0,
+        );
+        assert_eq!(outs.len(), 1, "one visible state change per activation");
+        assert_eq!(outs[0].applied, 4);
+        assert_holds(&r, &[1, 2, 4, 5]);
+        assert_eq!(revocations(&r), vec![1]);
+    }
+
+    #[test]
+    fn a_fold_then_an_extension_keeps_the_absolute_sequence() {
+        let mut r = scripted();
+        deliver(&mut r, vec![delta(0, &[1, 2, 3, 4])], 0);
+        assert!(
+            deliver(&mut r, vec![], 2).is_empty(),
+            "a fold changes no state"
+        );
+        assert_eq!(r.base_applied(), 2);
+        deliver(&mut r, vec![delta(4, &[5])], 0);
+        assert_holds(&r, &[1, 2, 3, 4, 5]);
+        // a rewrite above the fold replays the tail on the folded base
+        deliver(&mut r, vec![delta(3, &[6])], 0);
+        assert_holds(&r, &[1, 2, 3, 6]);
+        // a delta that repeats folded entries skips them
+        assert!(deliver(&mut r, vec![delta(1, &[2, 3, 6])], 0).is_empty());
+        assert_holds(&r, &[1, 2, 3, 6]);
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("ec-replica-{}-{tag}", std::process::id()))
+    }
+
+    fn durable_scripted(dir: &std::path::Path) -> ScriptedReplica {
+        Replica::durable(
+            Scripted::default(),
+            DurableOptions::new(dir).checkpoint_every(4),
+        )
+    }
+
+    #[test]
+    fn a_durable_restart_after_a_rewrite_recovers_the_rewritten_sequence() {
+        let dir = tmp_dir("rewrite");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut r = durable_scripted(&dir);
+        step(&mut r, |r, ctx| r.on_start(ctx));
+        deliver(&mut r, vec![delta(0, &[1, 2, 3])], 0);
+        deliver(&mut r, vec![delta(1, &[4])], 0);
+        assert_holds(&r, &[1, 4]);
+        drop(r);
+        let mut restarted = durable_scripted(&dir);
+        step(&mut restarted, |r, ctx| r.on_start(ctx));
+        assert_holds(&restarted, &[1, 4]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_timer_only_activation_leaves_the_log_alone() {
+        let dir = tmp_dir("idle");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut r = durable_scripted(&dir);
+        step(&mut r, |r, ctx| r.on_start(ctx));
+        deliver(&mut r, vec![delta(0, &[1, 2, 3])], 0);
+        let store = r.durable_store().expect("store opened");
+        let log_len = std::fs::metadata(store.log_path()).expect("log").len();
+        let since = store.entries_since_checkpoint();
+        assert_eq!(since, 3);
+        for _ in 0..3 {
+            step(&mut r, |r, ctx| r.on_timer(ctx));
+        }
+        let store = r.durable_store().expect("store opened");
+        assert_eq!(
+            std::fs::metadata(store.log_path()).expect("log").len(),
+            log_len
+        );
+        assert_eq!(store.entries_since_checkpoint(), since);
+        deliver(&mut r, vec![delta(3, &[4])], 0);
+        let store = r.durable_store().expect("store opened");
+        assert_eq!(
+            store.entries_since_checkpoint(),
+            0,
+            "the checkpoint still comes after every 4th entry"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -463,7 +463,7 @@ mod tests {
     use super::*;
     use ec_core::etob_omega::{EtobConfig, EtobOmega};
     use ec_core::tob_consensus::{ConsensusTob, ConsensusTobConfig};
-    use ec_core::types::EtobBroadcast;
+    use ec_core::types::{delivered_sequences, EtobBroadcast};
     use ec_sim::ProcessSet;
     use std::time::Instant;
 
@@ -491,16 +491,17 @@ mod tests {
         runtime.run_for(Duration::from_millis(300));
         let report = runtime.shutdown();
         // every process delivered all five messages, in the same order
-        let reference: Vec<_> = report
-            .last_output_of(ProcessId::new(0))
+        let sequences = delivered_sequences(&report.output_history(1));
+        let reference: Vec<_> = sequences
+            .last(ProcessId::new(0))
             .expect("p0 delivered")
             .iter()
             .map(|m| m.id)
             .collect();
         assert_eq!(reference.len(), 5);
         for p in (1..n).map(ProcessId::new) {
-            let seq: Vec<_> = report
-                .last_output_of(p)
+            let seq: Vec<_> = sequences
+                .last(p)
                 .expect("delivered")
                 .iter()
                 .map(|m| m.id)
@@ -523,8 +524,8 @@ mod tests {
         // the output history bridge reproduces the last outputs
         let history = report.output_history(1);
         assert_eq!(
-            history.last(ProcessId::new(0)).map(Vec::len),
-            Some(reference.len())
+            history.last(ProcessId::new(0)),
+            report.last_output_of(ProcessId::new(0))
         );
     }
 
@@ -543,10 +544,11 @@ mod tests {
         runtime.submit(origin, EtobBroadcast::new(origin, 99, b"after".to_vec()));
         runtime.run_for(Duration::from_millis(300));
         let report = runtime.shutdown();
+        let sequences = delivered_sequences(&report.output_history(1));
         // the survivors eventually elected p1 and still deliver new messages
         for p in [ProcessId::new(1), ProcessId::new(2)] {
             assert_eq!(report.last_leader_of(p), Some(ProcessId::new(1)), "{p}");
-            let delivered = report.last_output_of(p).expect("delivered something");
+            let delivered = sequences.last(p).expect("delivered something");
             assert!(
                 delivered.iter().any(|m| &m.payload[..] == b"after"),
                 "{p} did not deliver the post-crash broadcast"
@@ -567,7 +569,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if let Some(out) = runtime.latest_output_of(ProcessId::new(1)) {
-                if !out.is_empty() {
+                if out.end() > 0 {
                     break;
                 }
             }
@@ -603,8 +605,7 @@ mod tests {
             let done = (0..n).map(ProcessId::new).all(|p| {
                 runtime
                     .latest_output_of(p)
-                    .map(|seq| seq.len() == 3)
-                    .unwrap_or(false)
+                    .is_some_and(|delta| delta.end() == 3)
             });
             if done {
                 break;
@@ -617,15 +618,16 @@ mod tests {
         }
         let report = runtime.shutdown();
         // identical delivery order everywhere (strong consistency)
-        let reference: Vec<_> = report
-            .last_output_of(ProcessId::new(0))
+        let sequences = delivered_sequences(&report.output_history(1));
+        let reference: Vec<_> = sequences
+            .last(ProcessId::new(0))
             .expect("delivered")
             .iter()
             .map(|m| m.id)
             .collect();
         for p in (1..n).map(ProcessId::new) {
-            let seq: Vec<_> = report
-                .last_output_of(p)
+            let seq: Vec<_> = sequences
+                .last(p)
                 .expect("delivered")
                 .iter()
                 .map(|m| m.id)
@@ -661,6 +663,8 @@ mod tests {
         let mut chunk_fires = Vec::new();
         let mut fires_at_chunk_start = runtime.metrics().timer_fires;
         let mut marker_everywhere = false;
+        let mut sequences = vec![Vec::new(); n];
+        let mut seen = 0;
         let mut k = 0usize;
         while started.elapsed() < flood {
             let origin = ProcessId::new(k % n);
@@ -674,12 +678,18 @@ mod tests {
                 chunk_fires.push(fires - fires_at_chunk_start);
                 fires_at_chunk_start = fires;
             }
-            marker_everywhere = marker_everywhere
-                || (0..n).map(ProcessId::new).all(|p| {
-                    runtime
-                        .latest_output_of(p)
-                        .is_some_and(|seq| seq.iter().any(|m| m.id.origin == marker))
-                });
+            marker_everywhere = marker_everywhere || {
+                let outputs = runtime.outputs_so_far();
+                for (p, _, delta) in outputs.iter().skip(seen) {
+                    if let Some(sequence) = sequences.get_mut(p.index()) {
+                        delta.apply(sequence);
+                    }
+                }
+                seen = outputs.len();
+                sequences
+                    .iter()
+                    .all(|seq| seq.iter().any(|m| m.id.origin == marker))
+            };
         }
         let report = runtime.shutdown();
 

@@ -14,10 +14,11 @@ pub struct OutputSnapshot<O> {
 }
 
 /// The output history of a run: for every process, the timed sequence of
-/// values it output. For an algorithm whose output is its full current
-/// delivered sequence (as the ETOB implementations in `ec-core` do), the
-/// history gives direct access to `d_i(t)` for every `i` and `t`, which is
-/// what the TOB/ETOB property definitions quantify over.
+/// values it output. The ETOB implementations in `ec-core` output each
+/// change to their delivered sequence, so folding a process's outputs in
+/// order (`ec_core::types::delivered_sequences`) yields `d_i(t)` for every
+/// `i` and `t`, which is what the TOB/ETOB property definitions quantify
+/// over.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputHistory<O> {
     per_process: Vec<Vec<(Time, O)>>,

@@ -37,6 +37,9 @@ pub enum EventKind {
     Recovered,
     /// A malformed peer message was rejected.
     Malformed,
+    /// The delivered sequence was rewritten: `seq` applied entries of the
+    /// tentative order were revoked (the revocation depth).
+    Revoked,
 }
 
 impl EventKind {
@@ -54,6 +57,7 @@ impl EventKind {
             EventKind::Crashed => "crashed",
             EventKind::Recovered => "recovered",
             EventKind::Malformed => "malformed",
+            EventKind::Revoked => "revoked",
         }
     }
 }
@@ -75,10 +79,12 @@ pub struct Event {
     /// What happened.
     pub kind: EventKind,
     /// Origin replica of the subject message (or the subject replica for
-    /// [`EventKind::Crashed`]/[`EventKind::Recovered`]/[`EventKind::Malformed`]).
+    /// [`EventKind::Crashed`]/[`EventKind::Recovered`]/[`EventKind::Malformed`]/
+    /// [`EventKind::Revoked`]).
     pub origin: u32,
     /// Per-origin sequence number of the subject message (0 when there is
-    /// no subject message; the new fold base for [`EventKind::Folded`]).
+    /// no subject message; the new fold base for [`EventKind::Folded`], the
+    /// depth for [`EventKind::Revoked`]).
     pub seq: u64,
 }
 

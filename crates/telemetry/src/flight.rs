@@ -29,7 +29,7 @@ pub fn merge_flight(rings: &[Vec<Event>]) -> Vec<(u32, Event)> {
 /// Renders a merged timeline as text, one event per line:
 /// `t=<at> r<recorder> <kind> p<origin>#<seq>` (the subject suffix is
 /// omitted for replica-level events, and shows the fold base for
-/// [`EventKind::Folded`]).
+/// [`EventKind::Folded`] and the depth for [`EventKind::Revoked`]).
 pub fn render_flight(merged: &[(u32, Event)]) -> String {
     let mut out = String::new();
     for &(replica, event) in merged {
@@ -42,6 +42,9 @@ pub fn render_flight(merged: &[(u32, Event)]) -> String {
             | EventKind::Malformed => {}
             EventKind::Folded => {
                 let _ = write!(out, " base={}", event.seq);
+            }
+            EventKind::Revoked => {
+                let _ = write!(out, " depth={}", event.seq);
             }
             _ => {
                 let _ = write!(out, " p{}#{}", event.origin, event.seq);

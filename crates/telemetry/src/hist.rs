@@ -2,8 +2,10 @@
 //!
 //! Values are bucketed exactly up to 32 and with 16 linear sub-buckets per
 //! octave beyond that, bounding the relative bucket error at 1/16 (6.25%)
-//! across the full `u64` range. Recording is O(1) and allocation-free after
-//! construction; [`Histogram::merge`] is associative and commutative, so
+//! across the full `u64` range. The bucket array is allocated by the first
+//! record (an empty histogram costs nothing to build, which matters because
+//! every replica's recorder builds several); after that, recording is O(1)
+//! and allocation-free. [`Histogram::merge`] is associative and commutative, so
 //! per-replica histograms can be folded together in any order and always
 //! produce the same totals — the property the cross-shard and cross-replica
 //! report aggregation relies on.
@@ -52,6 +54,8 @@ fn bucket_high(i: usize) -> u64 {
 /// simulator, milliseconds on the real-time engines).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
+    /// Per-bucket counts: empty until the first value is recorded, then
+    /// `BUCKETS` long (so `counts.is_empty()` exactly when `total == 0`).
     counts: Vec<u64>,
     total: u64,
     sum: u64,
@@ -80,15 +84,18 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             max: 0,
         }
     }
 
-    /// Records one value. O(1), allocation-free.
+    /// Records one value. O(1); allocation-free after the first record.
     pub fn record(&mut self, v: u64) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; BUCKETS];
+        }
         self.counts[bucket_of(v)] += 1;
         self.total += 1;
         self.sum = self.sum.saturating_add(v);
@@ -139,6 +146,9 @@ impl Histogram {
     /// permutation of a set of histograms yields identical counts, sums and
     /// maxima.
     pub fn merge(&mut self, other: &Histogram) {
+        if self.counts.is_empty() && !other.counts.is_empty() {
+            self.counts = vec![0; BUCKETS];
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }

@@ -132,6 +132,14 @@ impl Recorder {
         self.event(EventKind::Folded, replica, base);
     }
 
+    /// The replica's delivered sequence was rewritten, revoking `depth`
+    /// entries of the tentative order it had applied.
+    pub fn revoked(&mut self, depth: u64) {
+        let replica = self.replica;
+        self.event(EventKind::Revoked, replica, depth);
+        self.report.revocation_depth.record(depth);
+    }
+
     /// A digest gap was detected and a sync pull issued.
     pub fn sync_pull(&mut self) {
         let replica = self.replica;
@@ -239,5 +247,21 @@ mod tests {
         let events = r.events();
         assert!(events.iter().all(|e| e.origin == 7 && e.at == 2));
         assert_eq!(events.last().map(|e| e.seq), Some(40));
+    }
+
+    #[test]
+    fn revocations_are_counted_with_their_depth() {
+        let mut r = Recorder::new(3, TimeSource::Logical, 8);
+        r.set_tick(5);
+        r.revoked(2);
+        r.revoked(7);
+        let report = r.report();
+        assert_eq!(report.revocations(), 2);
+        assert_eq!(report.revocation_depth.max(), 7);
+        let last = r.events().last().copied();
+        assert_eq!(
+            last.map(|e| (e.kind, e.origin, e.seq)),
+            Some((EventKind::Revoked, 3, 7))
+        );
     }
 }

@@ -4,8 +4,9 @@ use std::fmt;
 
 use crate::hist::Histogram;
 
-/// Latency summary of one replica (or any merge of replicas/shards): the
-/// three histograms plus the total number of flight events recorded.
+/// Telemetry summary of one replica (or any merge of replicas/shards): the
+/// three latency histograms, the revocations of the tentative order with
+/// their depths, and the total number of flight events recorded.
 ///
 /// Merging is associative and commutative (it folds histogram counts and
 /// sums), so reports can be aggregated per shard, per cluster, or across
@@ -21,6 +22,10 @@ pub struct TelemetryReport {
     /// Admission into the local causal graph → local delivery (the paper's
     /// stability lag: how long an operation stays tentative).
     pub stability_lag: Histogram,
+    /// Depth of every revocation: how many applied entries of the tentative
+    /// order a rewrite of the delivered sequence revoked. Its count is the
+    /// number of revocations ([`TelemetryReport::revocations`]).
+    pub revocation_depth: Histogram,
 }
 
 impl TelemetryReport {
@@ -30,6 +35,13 @@ impl TelemetryReport {
             && self.submit_deliver.is_empty()
             && self.promote_stable.is_empty()
             && self.stability_lag.is_empty()
+            && self.revocation_depth.is_empty()
+    }
+
+    /// Number of revocations of the tentative order (rewrites of an applied
+    /// delivered prefix). Theorem 3 bounds them to a finite number per run.
+    pub fn revocations(&self) -> u64 {
+        self.revocation_depth.count()
     }
 
     /// Folds `other` into `self` (associative and commutative).
@@ -38,6 +50,7 @@ impl TelemetryReport {
         self.submit_deliver.merge(&other.submit_deliver);
         self.promote_stable.merge(&other.promote_stable);
         self.stability_lag.merge(&other.stability_lag);
+        self.revocation_depth.merge(&other.revocation_depth);
     }
 
     /// Writes the stable JSON object (sorted keys, integers only) into
@@ -47,6 +60,9 @@ impl TelemetryReport {
         let _ = write!(out, "{{\"events_recorded\":{},", self.events_recorded);
         out.push_str("\"promote_stable\":");
         self.promote_stable.write_json(out);
+        out.push_str(",\"revocation_depth\":");
+        self.revocation_depth.write_json(out);
+        let _ = write!(out, ",\"revocations\":{}", self.revocations());
         out.push_str(",\"stability_lag\":");
         self.stability_lag.write_json(out);
         out.push_str(",\"submit_deliver\":");
@@ -73,10 +89,16 @@ impl TelemetryReport {
             "ec_events_recorded{{replica=\"{replica}\"}} {}",
             self.events_recorded
         );
+        let _ = writeln!(
+            out,
+            "ec_revocations{{replica=\"{replica}\"}} {}",
+            self.revocations()
+        );
         let histograms = [
             ("submit_deliver", &self.submit_deliver),
             ("promote_stable", &self.promote_stable),
             ("stability_lag", &self.stability_lag),
+            ("revocation_depth", &self.revocation_depth),
         ];
         for (name, hist) in histograms {
             let _ = writeln!(
@@ -102,7 +124,7 @@ impl fmt::Display for TelemetryReport {
         write!(
             f,
             "submit→deliver p50/p99 {}/{} (n={}), promote→deliver p50/p99 {}/{}, \
-             stability lag p50/p99 {}/{}, {} events",
+             stability lag p50/p99 {}/{}, {} revocations (max depth {}), {} events",
             self.submit_deliver.quantile(500),
             self.submit_deliver.quantile(990),
             self.submit_deliver.count(),
@@ -110,6 +132,8 @@ impl fmt::Display for TelemetryReport {
             self.promote_stable.quantile(990),
             self.stability_lag.quantile(500),
             self.stability_lag.quantile(990),
+            self.revocations(),
+            self.revocation_depth.max(),
             self.events_recorded,
         )
     }
@@ -145,6 +169,8 @@ mod tests {
         let json = r.to_json();
         assert!(json.starts_with("{\"events_recorded\":1,\"promote_stable\":{"));
         assert!(json.contains("\"submit_deliver\":{\"count\":1"));
+        assert!(json.contains("\"revocation_depth\":{\"count\":0"));
+        assert!(json.contains("\"revocations\":0,"));
         assert!(!json.contains('.'));
         assert!(TelemetryReport::default().is_empty());
         assert!(!r.is_empty());

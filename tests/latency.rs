@@ -48,13 +48,14 @@ fn consensus_latency(n: usize) -> u64 {
 }
 
 fn first_delivery(
-    history: &ec_sim::OutputHistory<ec_core::types::DeliveredSequence>,
+    history: &ec_sim::OutputHistory<ec_core::types::DeliveredDelta>,
     id: ec_core::types::MsgId,
     n: usize,
 ) -> u64 {
+    let sequences = ec_core::types::delivered_sequences(history);
     let mut first: Option<Time> = None;
     for p in (0..n).map(ProcessId::new) {
-        if let Some(t) = history.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
+        if let Some(t) = sequences.first_time_where(p, |seq| seq.iter().any(|m| m.id == id)) {
             first = Some(first.map_or(t, |x| x.min(t)));
         }
     }

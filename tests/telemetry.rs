@@ -9,9 +9,10 @@
 //! JSON export are identical, so one dashboard reads all three.
 
 use ec_replication::{
-    Cluster, ClusterBuilder, Consistency, Engine, KvStore, NetEngine, SimEngine, ThreadEngine,
+    Cluster, ClusterBuilder, ClusterReport, Consistency, Engine, KvStore, NetEngine, SimEngine,
+    ThreadEngine,
 };
-use ec_sim::ProcessId;
+use ec_sim::{NetworkModel, PartitionSpec, ProcessId, ProcessSet, Time};
 
 const REPLICAS: usize = 3;
 const OPS: usize = 8;
@@ -125,4 +126,78 @@ fn net_nodes_answer_live_metrics_scrapes() {
     // the other engines have no socket to scrape
     let sim = drive(&SimEngine::new(), Consistency::Eventual);
     assert_eq!(sim.scrape(ProcessId::new(0)), None);
+}
+
+/// Replica 2 is cut off from t = 10 to 300 while three sessions, one per
+/// replica, write concurrently; with `lie`, Ω also tells replica 2 to trust
+/// itself for exactly that window.
+fn partitioned_run(lie: bool) -> ClusterReport {
+    let cut_off = || -> ProcessSet { [2].into_iter().collect() };
+    let network = NetworkModel::fixed_delay(2).with_partition(
+        Time::new(10),
+        Time::new(300),
+        PartitionSpec::isolate(cut_off(), REPLICAS),
+    );
+    let mut engine = SimEngine::new().network(network);
+    if lie {
+        engine = engine.omega_lie(10, 300, cut_off(), ProcessId::new(2));
+    }
+    let mut cluster: Cluster<KvStore> = ClusterBuilder::new(REPLICAS).deploy(&engine);
+    let mut sessions: Vec<_> = (0..REPLICAS)
+        .map(|p| cluster.session_at(ProcessId::new(p)))
+        .collect();
+    for round in 0..8u64 {
+        for (p, session) in sessions.iter_mut().enumerate() {
+            let at = 20 + 25 * round + p as u64;
+            cluster.submit(
+                session,
+                KvStore::put(&format!("k{p}"), &round.to_string()),
+                at,
+            );
+        }
+    }
+    assert!(cluster.run_until_applied(8 * REPLICAS, 30_000));
+    cluster.finish()
+}
+
+/// Revocations of the tentative order are what makes consistency
+/// *eventual*: while Ω lies to the cut-off replica it delivers its own
+/// writes, and adopting the real leader's order after the heal revokes
+/// them. With Ω stable the same partition only delays that replica's
+/// deliveries, and nothing is ever revoked.
+#[test]
+fn omega_lies_show_up_as_revocations_and_a_stable_leader_has_none() {
+    let lied = partitioned_run(true);
+    let telemetry = lied.telemetry();
+    assert!(
+        telemetry.revocations() > 0,
+        "no revocation under an Ω lie: {telemetry}"
+    );
+    assert!(telemetry.revocation_depth.max() > 0);
+    let exposition = telemetry.to_exposition(2);
+    assert!(
+        exposition.contains(&format!(
+            "ec_revocations{{replica=\"2\"}} {}",
+            telemetry.revocations()
+        )),
+        "{exposition}"
+    );
+    assert!(exposition.contains("ec_revocation_depth_count{replica=\"2\"}"));
+    assert!(lied
+        .to_json()
+        .contains(&format!("\"revocations\":{}", telemetry.revocations())));
+    assert_eq!(
+        lied.to_json(),
+        partitioned_run(true).to_json(),
+        "sim telemetry must stay byte-identical across identical runs"
+    );
+
+    let stable = partitioned_run(false);
+    assert_eq!(
+        stable.telemetry().revocations(),
+        0,
+        "{}",
+        stable.telemetry()
+    );
+    assert!(stable.to_json().contains("\"revocations\":0"));
 }
